@@ -39,9 +39,9 @@ from .errors import (
     OverdampedError,
     UnsatisfiableError,
 )
-from .freq_model import VppParams, metrics, response_curve
+from .freq_model import VppParams, metrics, qss, response_curve, rocof_max
 from .ode_oracle import simulate
-from .requirements import determine_requirement, in_feasible_region
+from .requirements import Requirement, determine_requirement, in_feasible_region
 from .scenario import Scenario, load_scenario
 
 __all__ = ["main"]
@@ -125,7 +125,8 @@ def _allocation_problem(sc: Scenario, vpp: VppParams) -> AllocationProblem:
     )
 
 
-def _metrics_dict(sc: Scenario, vpp: VppParams) -> dict:
+def _metrics_dict(sc: Scenario, req: Requirement) -> dict:
+    vpp = VppParams(h_vpp=req.h_re, d_vpp=req.d_re)
     try:
         m = metrics(sc.grid, vpp, sc.disturbance)
         return {
@@ -137,13 +138,11 @@ def _metrics_dict(sc: Scenario, vpp: VppParams) -> dict:
             "t_db2_s": m.t_db2,
         }
     except (OverdampedError, NeverActivatesError):
-        # Outside the oscillatory closed form; report what is still defined.
-        from .requirements import _nadir_hz
-        from .freq_model import qss, rocof_max
-
+        # Outside the oscillatory closed form; report what is still defined,
+        # with the nadir the sizing search already evaluated at this point.
         return {
             "rocof_hz_per_s": rocof_max(sc.grid, vpp, sc.disturbance),
-            "nadir_hz": _nadir_hz(sc.grid, vpp, sc.disturbance),
+            "nadir_hz": req.nadir_hz,
             "qss_hz": qss(sc.grid, vpp, sc.disturbance),
             "t_nadir_s": None,
             "t_db1_s": None,
@@ -184,7 +183,6 @@ def cmd_simulate(sc: Scenario, args: argparse.Namespace) -> str:
 
 def cmd_requirements(sc: Scenario, args: argparse.Namespace) -> str:
     req = determine_requirement(sc.grid, sc.disturbance, sc.limits)
-    vpp = VppParams(h_vpp=req.h_re, d_vpp=req.d_re)
     doc = {
         "requirement": {
             "h_re_s": req.h_re,
@@ -193,7 +191,7 @@ def cmd_requirements(sc: Scenario, args: argparse.Namespace) -> str:
             "binding_d": req.binding_d,
             "nadir_monotone": req.nadir_monotone,
         },
-        "metrics": _metrics_dict(sc, vpp),
+        "metrics": _metrics_dict(sc, req),
     }
     fmt = args.format or "json"
     if fmt == "csv":

@@ -71,6 +71,8 @@ class Requirement:
     binding_h:    which constraint fixes h_re ("nadir", "rocof" or
                   "lower-bound" when no extra inertia is needed)
     binding_d:    which constraint fixes d_re ("qss" or "lower-bound")
+    nadir_hz:     nadir magnitude (Hz) at (h_re, d_re), as the search
+                  evaluated it (closed form or simulation fallback)
     nadir_monotone: whether the nadir decreased monotonically with inertia
                   over the probed search interval (the bisection assumption)
     """
@@ -79,6 +81,7 @@ class Requirement:
     d_re: float
     binding_h: str
     binding_d: str
+    nadir_hz: float
     nadir_monotone: bool = True
 
 
@@ -190,15 +193,19 @@ def determine_requirement(
     def dip(h: float) -> float:
         return _nadir_hz(grid, VppParams(h_vpp=h, d_vpp=d_re), dist)
 
-    if dip(h_lo) <= limits.nadir_lim:
+    dip_lo = dip(h_lo)
+    if dip_lo <= limits.nadir_lim:
         binding_h = "rocof" if h_lo > 0.0 else "lower-bound"
-        return Requirement(h_re=h_lo, d_re=d_re, binding_h=binding_h, binding_d=binding_d)
+        return Requirement(
+            h_re=h_lo, d_re=d_re, binding_h=binding_h, binding_d=binding_d, nadir_hz=dip_lo
+        )
 
     h_hi = limits.h_vpp_max
-    if dip(h_hi) > limits.nadir_lim:
+    dip_hi = dip(h_hi)
+    if dip_hi > limits.nadir_lim:
         raise UnsatisfiableError(
             f"nadir limit {limits.nadir_lim} Hz unattainable: "
-            f"{dip(h_hi):.4f} Hz at the inertia cap {h_hi} s"
+            f"{dip_hi:.4f} Hz at the inertia cap {h_hi} s"
         )
 
     probe = np.linspace(h_lo, h_hi, 50)
@@ -208,17 +215,25 @@ def determine_requirement(
         lo, hi = h_lo, h_hi
         while hi - lo > bisect_tol:
             mid = 0.5 * (lo + hi)
-            if dip(mid) <= limits.nadir_lim:
-                hi = mid
+            dip_mid = dip(mid)
+            if dip_mid <= limits.nadir_lim:
+                hi, dip_hi = mid, dip_mid
             else:
                 lo = mid
-        h_re = hi
+        h_re, nadir_re = hi, dip_hi
     else:
-        grid_h = np.arange(h_lo, h_hi + bisect_tol, bisect_tol)
-        feasible = [h for h in grid_h if dip(float(h)) <= limits.nadir_lim]
-        if not feasible:  # pragma: no cover - cap already checked above
+        for h in np.arange(h_lo, h_hi + bisect_tol, bisect_tol):
+            h_re = float(h)
+            nadir_re = dip(h_re)
+            if nadir_re <= limits.nadir_lim:
+                break
+        else:  # pragma: no cover - cap already checked above
             raise UnsatisfiableError("nadir limit unattainable within the inertia cap")
-        h_re = float(feasible[0])
     return Requirement(
-        h_re=h_re, d_re=d_re, binding_h="nadir", binding_d=binding_d, nadir_monotone=monotone
+        h_re=h_re,
+        d_re=d_re,
+        binding_h="nadir",
+        binding_d=binding_d,
+        nadir_hz=nadir_re,
+        nadir_monotone=monotone,
     )

@@ -2,13 +2,16 @@
 
 Keys carry unit suffixes (``h0_s``, ``f_db1_hz``, ...) so a scenario is
 readable without the schema at hand. Unknown keys are rejected to catch
-typos early; optional sections fall back to defaults. A scenario survives a
-parse -> serialize -> parse round trip unchanged.
+typos early; optional sections fall back to defaults. Every field is a
+finite JSON number (``true`` is not a number); the IBR box bounds may be
+``null`` for "unbounded". A scenario survives a parse -> serialize -> parse
+round trip unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -36,8 +39,34 @@ class Scenario:
     compensation: tuple[float, float] | None = None
 
 
-def _section(data: dict, name: str, required: tuple[str, ...], optional: dict[str, Any]) -> dict:
-    """Extract one schema section, rejecting unknown or missing keys."""
+def _number(where: str, value: Any, *, integer: bool = False) -> Any:
+    """Validate one numeric field; returns it as written (an int when integer
+    is set, which accepts only integral values)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
+def _section(
+    data: dict,
+    name: str,
+    required: tuple[str, ...],
+    optional: dict[str, Any],
+    *,
+    integer: bool = False,
+) -> dict:
+    """Extract one schema section, rejecting unknown or missing keys and
+    non-numeric values. A field whose default is None may also be null."""
     raw = data.get(name)
     if raw is None:
         raise ValueError(f"scenario is missing the required section {name!r}")
@@ -51,6 +80,10 @@ def _section(data: dict, name: str, required: tuple[str, ...], optional: dict[st
         raise ValueError(f"section {name!r} is missing keys: {missing}")
     out = dict(optional)
     out.update(raw)
+    for key, value in out.items():
+        if value is None and key in optional and optional[key] is None:
+            continue
+        out[key] = _number(f"{name}.{key}", value, integer=integer)
     return out
 
 
@@ -112,13 +145,13 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(raw_ibrs, list):
         raise ValueError("'ibrs' must be a list")
     for i, raw in enumerate(raw_ibrs):
-        u = _section(
-            {"ibr": raw},
-            "ibr",
-            ("alpha_per_s", "beta_per_pu", "p_rated_pu"),
-            {"h_min_s": 0.0, "h_max_s": None, "d_min_pu": 0.0, "d_max_pu": None},
-        )
         try:
+            u = _section(
+                {"ibr": raw},
+                "ibr",
+                ("alpha_per_s", "beta_per_pu", "p_rated_pu"),
+                {"h_min_s": 0.0, "h_max_s": None, "d_min_pu": 0.0, "d_max_pu": None},
+            )
             ibrs.append(
                 IbrSpec(
                     alpha=u["alpha_per_s"],
@@ -133,9 +166,9 @@ def parse_scenario(data: dict) -> Scenario:
         except ValueError as exc:
             raise ValueError(f"ibrs[{i}]: {exc}") from exc
 
-    sampling = _section(data, "sampling", (), {"n_samples": 200, "seed": 0}) if "sampling" in data else {"n_samples": 200, "seed": 0}
-    n_samples = int(sampling["n_samples"])
-    seed = int(sampling["seed"])
+    sampling = _section(data, "sampling", (), {"n_samples": 200, "seed": 0}, integer=True) if "sampling" in data else {"n_samples": 200, "seed": 0}
+    n_samples = sampling["n_samples"]
+    seed = sampling["seed"]
     if n_samples < 1:
         raise ValueError("sampling.n_samples must be at least 1")
 

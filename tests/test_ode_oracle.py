@@ -10,6 +10,92 @@ import vppfreq as v
 from conftest import make_grid
 
 
+def _deadband(x, width):
+    if x > width:
+        return x - width
+    if x < -width:
+        return x + width
+    return 0.0
+
+
+def _reference_simulate(grid, vpp, dist, cfg):
+    """The textbook RK4 loop, one rhs call per stage: the arithmetic that
+    v.simulate must reproduce bit for bit."""
+    f1 = grid.f_db1 / grid.f0
+    f2 = grid.f_db2 / grid.f0
+    two_h = 2.0 * (grid.h0 + vpp.h_vpp)
+    d0, d_v, r, t_sg, dp, dt = grid.d0, vpp.d_vpp, grid.r, grid.t_sg, dist.delta_p, cfg.dt
+    lag = cfg.t_vpp > 0.0
+    n = int(round(cfg.t_end / dt))
+    times = np.arange(n + 1) * dt
+    out_f, out_sg, out_vpp = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    df = psg = pvd = 0.0
+
+    def rhs(df_, psg_, pvd_):
+        droop = pvd_ if lag else -d_v * _deadband(df_, f1)
+        ddf = (-dp - d0 * df_ + droop + psg_) / two_h
+        dpsg = (-psg_ - r * _deadband(df_, f2)) / t_sg
+        dpvd = (-pvd_ - d_v * _deadband(df_, f1)) / cfg.t_vpp if lag else 0.0
+        return ddf, dpsg, dpvd
+
+    def record(i):
+        ddf = rhs(df, psg, pvd)[0]
+        droop = pvd if lag else -d_v * _deadband(df, f1)
+        out_f[i] = df * grid.f0
+        out_sg[i] = psg
+        out_vpp[i] = droop - 2.0 * vpp.h_vpp * ddf
+
+    record(0)
+    for i in range(1, n + 1):
+        k1 = rhs(df, psg, pvd)
+        k2 = rhs(df + 0.5 * dt * k1[0], psg + 0.5 * dt * k1[1], pvd + 0.5 * dt * k1[2])
+        k3 = rhs(df + 0.5 * dt * k2[0], psg + 0.5 * dt * k2[1], pvd + 0.5 * dt * k2[2])
+        k4 = rhs(df + dt * k3[0], psg + dt * k3[1], pvd + dt * k3[2])
+        df += dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        psg += dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        pvd += dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        if not math.isfinite(df):
+            raise v.NonFiniteError(
+                f"frequency state became non-finite at t = {i * dt:.6g} s; "
+                "reduce the step size"
+            )
+        record(i)
+    return v.Trajectory(times=times, delta_f=out_f, p_sg=out_sg, p_vpp=out_vpp)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_simulate_matches_reference_loop_bitwise(seed):
+    # Each seed covers lag off and on; the draws include zero dead bands,
+    # a fast (overdamped) governor and no VPP at all.
+    rng = np.random.default_rng(seed)
+    no_bands = seed % 4 == 1
+    grid = make_grid(
+        d0=rng.uniform(0.5, 3.0),
+        h0=rng.uniform(2.0, 12.0),
+        r=rng.uniform(10.0, 30.0),
+        t_sg=rng.uniform(0.01, 0.3) if seed % 2 else rng.uniform(2.0, 10.0),
+        f_db1=0.0 if no_bands else rng.uniform(0.0, 0.05),
+        f_db2=0.0 if no_bands else 0.06,
+    )
+    vpp = v.VppParams(0.0, 0.0) if seed == 0 else v.VppParams(rng.uniform(0, 30), rng.uniform(0, 30))
+    dist = v.Disturbance(rng.uniform(0.05, 0.4))
+    for t_vpp in (0.0, rng.uniform(0.05, 0.5)):
+        cfg = v.SimConfig(dt=rng.choice([5e-4, 1e-3, 5e-3]), t_end=2.0, t_vpp=t_vpp)
+        got = v.simulate(grid, vpp, dist, cfg)
+        want = _reference_simulate(grid, vpp, dist, cfg)
+        for name in ("times", "delta_f", "p_sg", "p_vpp"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (name, t_vpp)
+
+
+def test_nonfinite_matches_reference_loop(grid, dist, published_vpp):
+    cfg = v.SimConfig(dt=50.0, t_end=5000.0)
+    with pytest.raises(v.NonFiniteError) as want:
+        _reference_simulate(grid, published_vpp, dist, cfg)
+    with pytest.raises(v.NonFiniteError) as got:
+        v.simulate(grid, published_vpp, dist, cfg)
+    assert str(got.value) == str(want.value)
+
+
 def test_steady_state_matches_droop_balance(dist):
     # No dead bands, no VPP: the deviation settles where load damping plus
     # governor droop absorb the deficit.
@@ -120,7 +206,7 @@ def test_sim_config_validation():
         v.SimConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         v.SimConfig(t_vpp=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         v.SimConfig(method="euler")
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 import vppfreq as v
+import vppfreq.requirements as requirements
 from conftest import make_grid
+from vppfreq.requirements import _nadir_hz
 
 
 def test_min_damping_closed_form(grid, dist, limits):
@@ -124,6 +126,36 @@ def test_requirement_overdamped_uses_simulation(dist):
     assert req.binding_h == "rocof"
     ok, violated = v.in_feasible_region(fast, dist, lim, v.VppParams(req.h_re, req.d_re))
     assert ok, violated
+
+
+@pytest.mark.parametrize(
+    "fast, lim, binding_h",
+    [
+        (False, v.SecurityLimits(rocof_lim=0.25, nadir_lim=0.6, qss_lim=0.35), "rocof"),
+        (False, v.SecurityLimits(rocof_lim=0.7, nadir_lim=1.2, qss_lim=0.55), "lower-bound"),
+        (False, v.SecurityLimits(rocof_lim=0.4, nadir_lim=0.5, qss_lim=0.35), "nadir"),
+        (True, v.SecurityLimits(rocof_lim=0.25, nadir_lim=0.6, qss_lim=0.4), "rocof"),
+    ],
+)
+def test_requirement_carries_its_nadir(dist, fast, lim, binding_h):
+    grid = make_grid(t_sg=0.01, f_db1=0.0, f_db2=0.0) if fast else make_grid()
+    req = v.determine_requirement(grid, dist, lim)
+    assert req.binding_h == binding_h
+    assert req.nadir_hz == _nadir_hz(grid, v.VppParams(req.h_re, req.d_re), dist)
+
+
+def test_unattainable_nadir_evaluates_the_cap_once(grid, dist, monkeypatch):
+    evaluated = []
+
+    def counting(grid_, vpp, dist_):
+        evaluated.append(vpp.h_vpp)
+        return _nadir_hz(grid_, vpp, dist_)
+
+    monkeypatch.setattr(requirements, "_nadir_hz", counting)
+    impossible = v.SecurityLimits(rocof_lim=0.4, nadir_lim=0.36, qss_lim=0.35)
+    with pytest.raises(v.UnsatisfiableError, match="unattainable"):
+        v.determine_requirement(grid, dist, impossible)
+    assert evaluated == [v.min_inertia_for_rocof(grid, dist, impossible), impossible.h_vpp_max]
 
 
 def test_requirement_never_activating_disturbance(grid):

@@ -1,6 +1,8 @@
 """Scenario files and the command-line interface."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vppfreq as v
+import vppfreq.requirements as requirements
 from vppfreq.cli import main
 from vppfreq.scenario import parse_scenario, scenario_to_dict
 
@@ -323,6 +326,80 @@ def test_cli_overdamped_exit_3(tmp_path, capsys):
     assert json.loads(err)["error"] == "OverdampedError"
 
 
+def test_cli_overdamped_sizing_simulates_once(tmp_path, capsys, monkeypatch):
+    # Overdamped at the rate-of-change floor: sizing simulates the dip there
+    # and the metrics report reuses it.
+    doc = _base_doc()
+    doc["grid"].update(t_sg_s=0.01, f_db1_hz=0.0, f_db2_hz=0.0)
+    doc["limits"].update(rocof_limit_hz_per_s=0.25, nadir_limit_hz=0.6, qss_limit_hz=0.4)
+    path = _write_doc(tmp_path, doc)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return v.simulate(*args)
+
+    monkeypatch.setattr(requirements, "simulate", counting)
+    code, out, _ = run_cli(["requirements", "--scenario", path], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(out)
+    assert report["requirement"]["binding_h"] == "rocof"
+    assert report["metrics"]["t_nadir_s"] is None
+    dip = max(abs(x) for x in v.simulate(*calls[0]).delta_f.tolist())
+    assert report["metrics"]["nadir_hz"] == float(f"{dip:.12g}")
+
+
+NON_NUMBERS = [
+    ("grid", "d0_pu", "2.0", "grid.d0_pu must be a number"),
+    ("grid", "h0_s", None, "grid.h0_s must be a number"),
+    ("disturbance", "delta_p_pu", True, "must be a number"),
+    ("disturbance", "delta_p_pu", float("inf"), "must be finite"),
+    ("limits", "nadir_limit_hz", float("nan"), "must be finite"),
+    ("limits", "h_vpp_max_s", [50.0], "must be a number"),
+    ("sim", "dt_s", "0.001", "sim.dt_s must be a number"),
+    ("sampling", "n_samples", 2.7, "sampling.n_samples must be an integer"),
+    ("sampling", "seed", False, "sampling.seed must be a number"),
+    ("ibrs", "alpha_per_s", "3", r"ibrs\[0\]: ibr.alpha_per_s must be a number"),
+    ("ibrs", "h_min_s", None, r"ibrs\[0\]: ibr.h_min_s must be a number"),
+    ("compensation", "price_h_per_s", "1.5", "must be a number"),
+    ("vpp", "d_vpp_pu", 10**400, "must be finite"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, fragment",
+    NON_NUMBERS,
+    ids=[f"{s}.{k}-{type(val).__name__}" for s, k, val, _ in NON_NUMBERS],
+)
+def test_cli_rejects_non_numbers_exit_2(tmp_path, capsys, section, key, value, fragment):
+    doc = _base_doc()
+    doc["vpp"] = {"h_vpp_s": 19.125, "d_vpp_pu": 12.109}
+    doc["compensation"] = {"price_h_per_s": 1.0, "price_d_per_pu": 1.0}
+    target = doc["ibrs"][0] if section == "ibrs" else doc[section]
+    target[key] = value
+    path = _write_doc(tmp_path, doc)
+    code, out, err = run_cli(["requirements", "--scenario", path], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ValueError"
+    assert re.search(fragment, error["message"])
+
+
+def test_scenario_accepts_integral_numbers_and_null_bounds():
+    doc = _base_doc()
+    doc["grid"]["d0_pu"] = 2
+    doc["sampling"]["n_samples"] = 150.0
+    doc["ibrs"][0]["h_max_s"] = None
+    sc = parse_scenario(doc)
+    assert sc.grid.d0 == 2
+    assert sc.n_samples == 150 and isinstance(sc.n_samples, int)
+    assert sc.ibrs[0].h_max is None
+
+
 def test_cli_allocate_without_ibrs_exit_2(tmp_path, capsys):
     doc = _base_doc()
     del doc["ibrs"]
@@ -333,10 +410,15 @@ def test_cli_allocate_without_ibrs_exit_2(tmp_path, capsys):
 
 
 def test_cli_entry_point_subprocess():
+    # The child imports the package under test, also when it is not installed.
+    src = str(Path(v.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "vppfreq", "requirements", "--scenario", SCENARIO],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
