@@ -12,13 +12,22 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numeric-regime
 error, 4 unsatisfiable or infeasible problem. Errors are emitted as one JSON
 object on stderr. Output is deterministic for a given scenario: floats are
 rounded to 12 significant digits and no timestamps or machine state appear.
+
+One writer produces every report. JSON output is byte for byte what
+``json.dumps(doc, indent=2)`` writes for the document with its floats
+rounded, so each float is the shortest repr of its rounded value; CSV
+writes floats as ``%.12g``, one ``%`` format string per row. The standard
+encoder itself is not used for reports: with ``indent`` set it runs in pure
+Python, one call per value, and a trajectory holds over 10^5 values.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,35 +60,67 @@ _NUMERIC_ERRORS = (OverdampedError, NeverActivatesError, NonFiniteError)
 _UNSAT_ERRORS = (UnsatisfiableError, InfeasibleError)
 
 
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+# format(x, ".12") rounds x to 12 significant digits and writes the rounded
+# float as json does ("0.5", "-0.0", "1.0", "1e-05"): a decimal of at most
+# 12 digits is its own shortest repr. The notation differs in two ranges,
+# 1e11 <= |x| < 1e16, which repr writes positionally, and below the normal
+# range (e-3xx), where fewer digits can suffice; there repr decides.
+_NOT_REPR = re.compile(r"e(?:\+1[1-5]|-3\d\d)(?!\d)")
 
 
-def _jsonify(obj):
-    """Recursively convert to JSON-ready form with 12-significant-digit floats."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _floats(values, sep: str) -> str:
+    """Join floats rounded to 12 significant digits with ``sep``, each spelled
+    as ``json`` spells the rounded value (NaN, Infinity and -Infinity too)."""
+    text = sep.join(map(format, values, repeat(".12")))
+    if _NOT_REPR.search(text):
+        text = sep.join([repr(float(format(v, ".12"))) for v in values])
+    if "n" in text:  # only "nan" and "inf" hold an "n"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json(obj, indent: str = "") -> str:
+    """The bytes of ``json.dumps(obj, indent=2)`` with every float rounded to
+    12 significant digits, numpy scalars and arrays taken as Python values.
+    Dict keys are strings.
+
+    A flat list of floats, which is what trajectories and fronts are made
+    of, is formatted in one pass and joined once."""
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, bool):
-        return obj
+        obj = obj.tolist()
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{json.dumps(k)}: {_json(v, inner)}" for k, v in obj.items())
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            body = _floats(obj, sep)
+        else:
+            body = sep.join([_json(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return obj
+        return _floats((obj,), "")
+    if isinstance(obj, np.integer):
+        obj = int(obj)
+    return json.dumps(obj)
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(_jsonify(obj), indent=2) + "\n"
+def _csv(header: list[str], cols) -> str:
+    """Header line, then one line per row of the equal-length columns.
 
-
-def _csv(header: list[str], rows: list[list]) -> str:
+    Each column holds one type: floats are written with ``%.12g``, any
+    other value as ``str()`` would write it. Rows are formatted by one
+    ``%`` string each."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    if cols and len(cols[0]):
+        row = ",".join("%.12g" if isinstance(c[0], float) else "%s" for c in cols)
+        lines += map(row.__mod__, zip(*cols))
     return "\n".join(lines) + "\n"
 
 
@@ -91,6 +132,12 @@ def _point_dict(p: ParetoPoint) -> dict:
         "f_vpp": p.objectives.f_vpp,
         "f_ibr": p.objectives.f_ibr,
     }
+
+
+def _front_csv(problem: AllocationProblem, front: list[ParetoPoint]) -> str:
+    """The front's objective matrix: one row per point, f_vpp then f_ibr_1..N."""
+    header = ["f_vpp"] + [f"f_ibr_{k + 1}" for k in range(problem.n)]
+    return _csv(header, np.array([p.objectives.as_array() for p in front]).T)
 
 
 def _required_totals(sc: Scenario) -> tuple[VppParams, dict]:
@@ -176,9 +223,8 @@ def cmd_simulate(sc: Scenario, args: argparse.Namespace) -> str:
         header = ["t", "delta_f_closed_hz", "delta_f_ode_hz", "p_sg_pu", "p_vpp_pu"]
         cols = [times, closed, traj.delta_f, traj.p_sg, traj.p_vpp]
     if fmt == "json":
-        return _dump_json({name: col for name, col in zip(header, cols)})
-    rows = [[float(col[i]) for col in cols] for i in range(len(times))]
-    return _csv(header, rows)
+        return _json(dict(zip(header, cols))) + "\n"
+    return _csv(header, cols)
 
 
 def cmd_requirements(sc: Scenario, args: argparse.Namespace) -> str:
@@ -195,10 +241,9 @@ def cmd_requirements(sc: Scenario, args: argparse.Namespace) -> str:
     }
     fmt = args.format or "json"
     if fmt == "csv":
-        keys = list(doc["requirement"]) + list(doc["metrics"])
-        vals = list(doc["requirement"].values()) + list(doc["metrics"].values())
-        return _csv(keys, [vals])
-    return _dump_json(doc)
+        row = {**doc["requirement"], **doc["metrics"]}
+        return _csv(list(row), [[v] for v in row.values()])
+    return _json(doc) + "\n"
 
 
 def cmd_allocate(sc: Scenario, args: argparse.Namespace) -> str:
@@ -208,12 +253,7 @@ def cmd_allocate(sc: Scenario, args: argparse.Namespace) -> str:
     result = report.bargain
     fmt = args.format or "json"
     if fmt == "csv":
-        header = ["f_vpp"] + [f"f_ibr_{k + 1}" for k in range(problem.n)]
-        rows = [
-            [p.objectives.f_vpp] + [float(v) for v in p.objectives.f_ibr]
-            for p in result.front
-        ]
-        return _csv(header, rows)
+        return _front_csv(problem, result.front)
     doc = {
         "requirement": req_doc,
         "bargain": {
@@ -247,7 +287,7 @@ def cmd_allocate(sc: Scenario, args: argparse.Namespace) -> str:
             "bargain": vpp_profit(problem, result.chosen.allocation),
             "economic": vpp_profit(problem, report.economic.allocation),
         }
-    return _dump_json(doc)
+    return _json(doc) + "\n"
 
 
 def cmd_pareto(sc: Scenario, args: argparse.Namespace) -> str:
@@ -256,10 +296,8 @@ def cmd_pareto(sc: Scenario, args: argparse.Namespace) -> str:
     front = pareto_front(problem, n_samples=sc.n_samples, seed=sc.seed)
     fmt = args.format or "json"
     if fmt == "csv":
-        header = ["f_vpp"] + [f"f_ibr_{k + 1}" for k in range(problem.n)]
-        rows = [[p.objectives.f_vpp] + [float(v) for v in p.objectives.f_ibr] for p in front]
-        return _csv(header, rows)
-    return _dump_json({"front_size": len(front), "points": [_point_dict(p) for p in front]})
+        return _front_csv(problem, front)
+    return _json({"front_size": len(front), "points": [_point_dict(p) for p in front]}) + "\n"
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -289,16 +327,16 @@ def cmd_region(sc: Scenario, args: argparse.Namespace) -> str:
         points.append((h, d, ok, violated))
     fmt = args.format or "csv"
     if fmt == "json":
-        return _dump_json(
-            {
-                "points": [
-                    {"h_vpp_s": h, "d_vpp_pu": d, "feasible": ok, "violated": violated}
-                    for h, d, ok, violated in points
-                ]
-            }
-        )
-    rows = [[h, d, int(ok), ";".join(violated)] for h, d, ok, violated in points]
-    return _csv(["h_vpp_s", "d_vpp_pu", "feasible", "violated"], rows)
+        doc = {
+            "points": [
+                {"h_vpp_s": h, "d_vpp_pu": d, "feasible": ok, "violated": violated}
+                for h, d, ok, violated in points
+            ]
+        }
+        return _json(doc) + "\n"
+    hs, ds, oks, violated = zip(*points)
+    cols = [hs, ds, [int(ok) for ok in oks], [";".join(v) for v in violated]]
+    return _csv(["h_vpp_s", "d_vpp_pu", "feasible", "violated"], cols)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,6 +399,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None:
             sc.seed = args.seed
         text = args.func(sc, args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except _CONFIG_ERRORS as exc:
         _emit_error(exc)
         return 2
@@ -373,10 +415,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _emit_error(exc)
         return 2
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

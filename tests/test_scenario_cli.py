@@ -400,6 +400,17 @@ def test_scenario_accepts_integral_numbers_and_null_bounds():
     assert sc.ibrs[0].h_max is None
 
 
+def test_cli_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["requirements", "--scenario", SCENARIO, "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert not target.exists()
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FileNotFoundError"
+
+
 def test_cli_allocate_without_ibrs_exit_2(tmp_path, capsys):
     doc = _base_doc()
     del doc["ibrs"]
